@@ -80,17 +80,15 @@ def migration_target_process(cfg: ExperimentConfig) -> int:
     shipments address workers that no longer exist.
     """
     from repro.megaphone.control import BinnedConfiguration
-    from repro.parallel.partition import ShardPartition
 
-    partition = ShardPartition(cfg.num_workers, cfg.workers_per_process)
     initial = BinnedConfiguration.round_robin(cfg.num_bins, cfg.num_workers)
     target = imbalanced_target(initial)
     gained: dict[int, int] = {}
     for inst in initial.moved_bins(target):
-        process = partition.domain_of(inst.worker)
+        process = inst.worker // cfg.workers_per_process
         gained[process] = gained.get(process, 0) + 1
     if not gained:
-        return partition.domain_of(cfg.num_workers - 1)
+        return (cfg.num_workers - 1) // cfg.workers_per_process
     return max(sorted(gained), key=lambda p: gained[p])
 
 

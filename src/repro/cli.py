@@ -56,9 +56,7 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--network-latency", type=float, default=40e-6, metavar="SECONDS",
-        help="cross-process link latency; in --parallel runs it is also "
-        "the conservative lookahead, so ms-scale values (e.g. 0.01) keep "
-        "the synchronization round count practical",
+        help="propagation latency of every cross-process link",
     )
     parser.add_argument(
         "--state-backend", default="dict",
@@ -77,15 +75,6 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
         help="ship each bin's base state ahead of the move and only the "
         "dirtied delta at execution (needs a delta-capable backend such "
         "as wal; falls back to whole-bin shipment otherwise)",
-    )
-
-
-def _parallel_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="shard the simulation over the workers-per-process partition: "
-        "N >= 1 forks N shard processes, 0 runs the sharded reference "
-        "engine in-process; all values produce byte-identical results",
     )
 
 
@@ -200,15 +189,6 @@ def _validate_common(parser: argparse.ArgumentParser, args) -> None:
     metrics_port = getattr(args, "metrics_port", None)
     if metrics_port is not None and metrics_port < 0:
         parser.error(f"--metrics-port must be >= 0, got {metrics_port}")
-    parallel = getattr(args, "parallel", None)
-    if parallel is not None:
-        if parallel < 0:
-            parser.error(f"--parallel must be >= 0, got {parallel}")
-        if getattr(args, "native", False):
-            parser.error(
-                "--parallel does not support --native; the sharded engine "
-                "only runs the migrateable operator"
-            )
     _validate_elastic_args(parser, args)
 
 
@@ -238,11 +218,6 @@ def _validate_elastic_args(parser: argparse.ArgumentParser, args) -> None:
             f"--scale-in-load ({args.scale_in_load}) must be below "
             f"--scale-out-load ({args.scale_out_load}); the gap is the "
             "hysteresis band that prevents thrash"
-        )
-    if elastic and getattr(args, "parallel", None) is not None:
-        parser.error(
-            "elastic membership is not supported with --parallel; the "
-            "sharded engine partitions a fixed worker set"
         )
     if elastic and getattr(args, "native", False):
         parser.error(
@@ -399,40 +374,12 @@ def cmd_count(args) -> int:
         domain=int(args.domain),
         bytes_per_key=args.bytes_per_key,
         native=args.native,
-        parallel=args.parallel,
-        profile_shards=bool(args.profile and args.parallel),
     )
     result = run_count_experiment(cfg)
     _report(result, f"key-count, domain {int(args.domain):,}")
     _report_elastic(result)
-    if result.parallel is not None:
-        info = result.parallel
-        print(
-            f"parallel: mode={info['mode']} children={info['children']} "
-            f"domains={info['domains']} rounds={info['rounds']} "
-            f"lookahead={info['lookahead_s'] * 1e3:.2f}ms "
-            f"shm batches={info['shm_encoded']} "
-            f"(pickle fallback {info['shm_fallback']})"
-        )
-        _print_merged_shard_profile(info["profile_paths"])
     _report_obsv(result, args)
     return 0
-
-
-def _print_merged_shard_profile(paths: list) -> None:
-    """Aggregate per-shard cProfile dumps into one report (``--profile``)."""
-    import os
-
-    paths = [p for p in paths if p and os.path.exists(p)]
-    if not paths:
-        return
-    import pstats
-
-    stats = pstats.Stats(paths[0])
-    for path in paths[1:]:
-        stats.add(path)
-    print(f"\nmerged shard profile ({len(paths)} shard processes):")
-    stats.sort_stats("cumulative").print_stats(25)
 
 
 def cmd_nexmark(args) -> int:
@@ -790,7 +737,6 @@ def cmd_bench(args) -> int:
         layers=not args.no_layers,
         repeats=args.repeats,
         state_backend=args.state_backend,
-        parallel=args.parallel,
     )
     rows = []
     for workload, numbers in report["workloads"].items():
@@ -823,14 +769,6 @@ def cmd_bench(args) -> int:
         for workload, factor in report["speedup"].items():
             base = report["baseline"][workload]["records_per_s"]
             print(f"{workload}: {factor:.2f}x vs baseline ({base:,.0f} rec/s)")
-    if "parallel" in report:
-        par = report["parallel"]
-        print(
-            f"parallel: {par['shards']} shards, "
-            f"{par['speedup']:.2f}x vs serial-sharded "
-            f"(machine has {report['machine']['cpu_count']} cores), "
-            f"deterministic: {par['deterministic']}"
-        )
     if args.check is not None:
         ok, deltas = check_report(
             report,
@@ -1046,7 +984,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser("count", help="run the counting microbenchmark")
     _common_args(count)
-    _parallel_arg(count)
     _obsv_args(count)
     _elastic_args(count)
     count.add_argument("--domain", type=float, default=1e6)
@@ -1192,11 +1129,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="WORKLOAD=FRAC",
         help="per-workload tolerance in --check mode, e.g. "
         "count_skewed=0.25; repeatable",
-    )
-    bench.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="also time the sharded engine: serial-sharded vs N forked "
-        "shards, recording speedup and determinism in the report",
     )
     bench.set_defaults(fn=cmd_bench)
 

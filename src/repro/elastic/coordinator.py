@@ -242,7 +242,8 @@ class ScalingCoordinator:
             # empty — the worker was never touched).
             residual = sum(
                 len(store.resident_bins())
-                for _w, store in self._op.stores(self._runtime, workers=workers)
+                for w, store in self._op.stores(self._runtime)
+                if w in workers
             )
             record.residual_bins = residual
             handles = self._source.group.handles()

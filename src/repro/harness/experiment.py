@@ -10,6 +10,7 @@ NEXMark experiments reuse the same orchestration through
 
 from __future__ import annotations
 
+import hashlib
 import time as wallclock
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -131,15 +132,8 @@ class ExperimentConfig:
     # models, and the decision loop unwired — the run is byte-identical to
     # a build without the planner subsystem.
     planner: Optional[PlannerConfig] = None
-    # Sharded execution (see repro.parallel).  None runs the legacy serial
-    # engine; 0 runs the sharded reference engine in-process; N >= 1 forks
-    # N shard processes.  All sharded runs are byte-identical to each other.
-    parallel: Optional[int] = None
-    # With sharding: wrap each shard process in cProfile (merged by the CLI).
-    profile_shards: bool = False
-    # Hash every worker's final bin states into the result (sharded runs
-    # always do; serial runs opt in — it is how serial-vs-sharded logical
-    # equivalence is asserted).
+    # Hash every worker's final bin states into the result (replay, the
+    # matrix and elastic twin checks opt in; recording always does).
     fingerprint_state: bool = False
     # Elastic membership (repro.elastic).  ``num_workers`` is the
     # *provisioned* slot universe; ``active_workers`` (None = all) is the
@@ -154,9 +148,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # Membership-shape invariants, checked here with a clear error
-        # instead of failing deep in ShardPartition arithmetic.  (The
-        # partition itself tolerates ragged tails for the sharded engine's
-        # internal tests; experiment clusters are always rectangular.)
+        # instead of failing deep in the cluster's process arithmetic.
+        # (``Cluster`` itself tolerates a ragged last process; experiment
+        # clusters are always rectangular.)
         if self.num_workers < 1:
             raise ValueError(f"num_workers must be positive, got {self.num_workers}")
         if self.workers_per_process < 1:
@@ -177,17 +171,11 @@ class ExperimentConfig:
                 f"active_workers must be in 1..{self.num_workers}, "
                 f"got {self.active_workers}"
             )
-        if self.elastic:
-            if self.parallel is not None:
-                raise ValueError(
-                    "elastic membership is not supported with sharded "
-                    "execution (parallel); run the serial engine"
-                )
-            if self.native:
-                raise ValueError(
-                    "elastic membership needs the migrateable operator; "
-                    "the native baseline cannot scale"
-                )
+        if self.elastic and self.native:
+            raise ValueError(
+                "elastic membership needs the migrateable operator; "
+                "the native baseline cannot scale"
+            )
         if self.scaling_plan is not None:
             self.scaling_plan.validate(self.num_workers, self.initial_active)
         if self.autoscale is not None:
@@ -290,15 +278,12 @@ class ExperimentResult:
     final_imbalance: float = 0.0
     # The calibrated cost model (post-run), for prediction-vs-observed checks.
     cost_model: Optional[MigrationCostModel] = None
-    # Sharded-run report (None for serial runs): mode, children, rounds,
-    # lookahead, per-domain event counts, per-worker state fingerprints.
-    parallel: Optional[dict] = None
     # Per-topic bus event counts (when the config asked for them) and the
     # bound Prometheus port (when the config served metrics).
     topic_counts: dict = field(default_factory=dict)
     metrics_port: Optional[int] = None
-    # Per-worker final state fingerprints (sharded always; serial when the
-    # config sets ``fingerprint_state``).
+    # Per-worker final state fingerprints (when the config sets
+    # ``fingerprint_state`` or records an event log).
     state_fingerprints: dict = field(default_factory=dict)
     # Elastic membership outcome (None unless the run was elastic): the
     # directory's transition history, the coordinator's per-operation
@@ -346,6 +331,31 @@ class ExperimentResult:
             if stats.start_s >= warmup_s:
                 best = max(best, stats.max_s)
         return best
+
+
+def result_fingerprint(result: ExperimentResult) -> str:
+    """One digest over everything determinism promises to reproduce.
+
+    Covers final per-worker state fingerprints, the event count, injected
+    records, migration step timings, and the latency timeline — two
+    byte-identical runs agree on all of it.  Event-log footers and the
+    experiment matrix pin this digest, so its byte layout is frozen.
+    """
+    digest = hashlib.sha256()
+    for worker, fp in sorted(result.state_fingerprints.items()):
+        digest.update(f"s{worker}:{fp};".encode())
+    digest.update(f"records={result.records_injected};".encode())
+    digest.update(f"events={result.sim_events};".encode())
+    for migration in result.migrations:
+        for step in migration.steps:
+            digest.update(
+                f"step@{step.issued_at!r}->{step.completed_at!r};".encode()
+            )
+    for stats in result.timeline.series():
+        digest.update(
+            f"t{stats.start_s!r}:{stats.count}:{stats.max_s!r};".encode()
+        )
+    return digest.hexdigest()
 
 
 class MigrationExperiment:
@@ -940,10 +950,6 @@ def _build_native_count(df, control, data, cfg: ExperimentConfig):
 
 def run_count_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the counting microbenchmark under ``cfg``."""
-    if cfg.parallel is not None:
-        from repro.parallel.runner import run_parallel_count_experiment
-
-        return run_parallel_count_experiment(cfg)
     workload = cfg.make_workload()
     build = _build_native_count if cfg.native else _build_megaphone_count
     experiment = MigrationExperiment(cfg, build, workload.make_generator())

@@ -25,15 +25,6 @@ class OpenLoopSource:
     receives its share of the interval's records with the interval's epoch
     timestamp, then advances to the next epoch.  The injected counts are
     reported to the latency recorder for weighting.
-
-    ``workers`` (sharded mode) restricts the *driven* handles to the listed
-    resident workers: the global per-worker allocation arithmetic is still
-    computed over the full worker set — identically in every shard — but
-    only resident handles are sent/advanced/closed (each shard's generator
-    LCG state is per-worker, so skipping non-residents does not perturb the
-    streams).  Non-resident handles are never touched; their capability
-    movements arrive through the shard progress broadcast instead, and
-    locally closing them would double-count the broadcast decrement.
     """
 
     def __init__(
@@ -47,7 +38,6 @@ class OpenLoopSource:
         recorder: Optional[EpochLatencyRecorder] = None,
         start_s: float = 0.0,
         dilation: int = 1,
-        workers: Optional[list] = None,
     ) -> None:
         self.runtime = runtime
         self.group = group
@@ -58,7 +48,6 @@ class OpenLoopSource:
         self.recorder = recorder
         self.start_s = start_s
         self.dilation = dilation
-        self.workers = sorted(workers) if workers is not None else None
         # An int: injected counts are exact, never float-accumulated.
         self._records_injected = 0
         self._carry = 0.0
@@ -77,20 +66,9 @@ class OpenLoopSource:
         for i in range(n_ticks):
             at = self.start_s + i * tick_s
             sim.schedule_at(at, self._make_tick(i, per_tick_exact))
-        close = (
-            self.group.close_all if self.workers is None else self._close_resident
-        )
-        sim.schedule_at(self.start_s + n_ticks * tick_s, close)
-
-    def _close_resident(self) -> None:
-        handles = self.group.handles()
-        for w in self.workers:
-            handles[w].close()
+        sim.schedule_at(self.start_s + n_ticks * tick_s, self.group.close_all)
 
     def _make_tick(self, index: int, per_tick_exact: float):
-        if self.workers is not None:
-            return self._make_resident_tick(index, per_tick_exact)
-
         def tick() -> None:
             epoch_ms = int(
                 round((self.start_s * 1000) + index * self.granularity_ms)
@@ -124,67 +102,6 @@ class OpenLoopSource:
 
         return tick
 
-    def _make_resident_tick(self, index: int, per_tick_exact: float):
-        """Sharded tick: full-cluster allocation, resident-only injection.
-
-        The division of ``count`` over workers matches the legacy tick with
-        every handle open (sharded mode excludes chaos, so handles normally
-        only close at end-of-input, after the final tick).  Should a
-        resident handle close mid-run anyway, its share is not silently
-        dropped: the residual is recomputed over the still-open resident
-        handles (each drawing extra records from its own generator stream,
-        so the redistribution is deterministic per shard) — without this
-        the per-worker split would stay frozen at the full-universe
-        allocation and a closed handle would skew the offered load.
-        ``records_injected`` counts the local share; the recorder (resident
-        on shard 0 only) is told the *global* count, which every shard
-        computes identically.
-        """
-        resident = self.workers
-
-        def tick() -> None:
-            epoch_ms = int(
-                round((self.start_s * 1000) + index * self.granularity_ms)
-            ) * self.dilation
-            self._carry += per_tick_exact
-            count = int(self._carry)
-            self._carry -= count
-            handles = self.group.handles()
-            num_workers = len(handles)
-            per_worker = count // num_workers
-            extra = count % num_workers
-            total = 0
-            residual = 0
-            open_resident = []
-            advance_to = epoch_ms + self.granularity_ms * self.dilation
-            for w in resident:
-                n = per_worker + (1 if w < extra else 0)
-                handle = handles[w]
-                if handle.epoch is None:
-                    residual += n
-                    continue
-                open_resident.append((w, handle))
-                if n > 0:
-                    records = self.generator(w, epoch_ms, n)
-                    handle.send(epoch_ms, records)
-                    total += len(records)
-            if residual and open_resident:
-                per_open = residual // len(open_resident)
-                spill = residual % len(open_resident)
-                for i, (w, handle) in enumerate(open_resident):
-                    n = per_open + (1 if i < spill else 0)
-                    if n > 0:
-                        records = self.generator(w, epoch_ms, n)
-                        handle.send(epoch_ms, records)
-                        total += len(records)
-            for _w, handle in open_resident:
-                handle.advance_to(advance_to)
-            self._records_injected += total
-            if self.recorder is not None:
-                self.recorder.note_injected(epoch_ms, max(count, 1))
-
-        return tick
-
 
 class ElasticOpenLoopSource(OpenLoopSource):
     """Open-loop source over a *dynamic* feed set with a fixed record universe.
@@ -194,7 +111,7 @@ class ElasticOpenLoopSource(OpenLoopSource):
     pinned against a static-membership twin.  So record content is drawn
     from ``num_workers`` fixed **virtual streams** (one deterministic
     generator stream per provisioned slot, exactly the allocation a fully
-    open legacy tick would compute), and virtual stream ``v`` is carried by
+    open tick would compute), and virtual stream ``v`` is carried by
     the ``v % len(feed)``-th currently-fed open handle.  Membership changes
     therefore alter only *which handle carries* a record — never the
     record, its count, or its epoch — and the downstream exchange routes by
@@ -210,8 +127,6 @@ class ElasticOpenLoopSource(OpenLoopSource):
 
     def __init__(self, *args, active: Optional[list] = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if self.workers is not None:
-            raise ValueError("elastic source does not support sharded mode")
         if active is None:
             raise ValueError("elastic source needs the initially-fed workers")
         self._feed = sorted(active)

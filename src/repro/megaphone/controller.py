@@ -53,18 +53,12 @@ class EpochTicker:
         granularity_ms: int = 10,
         until_s: Optional[float] = None,
         dilation: int = 1,
-        workers: Optional[list] = None,
     ) -> None:
         self.runtime = runtime
         self.group = group
         self.granularity_ms = granularity_ms
         self.until_s = until_s
         self.dilation = dilation
-        # Sharded mode: only drive (and close) the listed resident workers'
-        # handles; the other shards advance theirs, and touching a
-        # non-resident handle here would double-count its capability
-        # movement against the shard progress broadcast.
-        self.workers = sorted(workers) if workers is not None else None
         self._stopped = False
 
     @property
@@ -84,20 +78,13 @@ class EpochTicker:
         """Stop ticking and close the group at the next tick."""
         self._stopped = True
 
-    def _driven_handles(self) -> list:
-        handles = self.group.handles()
-        if self.workers is None:
-            return handles
-        return [handles[w] for w in self.workers]
-
     def _tick(self) -> None:
         now = self.runtime.sim.now
         if self._stopped or (self.until_s is not None and now >= self.until_s):
-            for handle in self._driven_handles():
-                handle.close()
+            self.group.close_all()
             return
         epoch = self.current_epoch() + self.granularity_ms * self.dilation
-        for handle in self._driven_handles():
+        for handle in self.group.handles():
             if handle.epoch is not None and handle.epoch < epoch:
                 handle.advance_to(epoch)
         self.runtime.sim.schedule(self.tick_s, self._tick)

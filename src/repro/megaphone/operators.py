@@ -927,16 +927,11 @@ class MigrateableOperator:
         """The bin store resident on ``worker_id`` (tests/metrics)."""
         return runtime.workers[worker_id].shared[f"megaphone:{self.config.name}"]
 
-    def stores(self, runtime, workers=None):
-        """Yield ``(worker_id, store)`` for workers with a materialized store.
-
-        A worker that never processed a record has no store; sharded
-        runtimes host only their resident workers.  ``workers`` restricts
-        the sweep (e.g. to a shard's residents); None sweeps everyone.
-        """
+    def stores(self, runtime):
+        """Yield ``(worker_id, store)`` for workers with a materialized store
+        (a worker that never processed a record has none)."""
         key = f"megaphone:{self.config.name}"
-        ids = range(runtime.num_workers) if workers is None else workers
-        for worker_id in ids:
+        for worker_id in range(runtime.num_workers):
             store = runtime.workers[worker_id].shared.get(key)
             if store is not None:
                 yield worker_id, store

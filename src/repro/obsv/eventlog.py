@@ -44,8 +44,10 @@ _OBSERVER_FIELDS = (
     "export_metrics",
     "metrics_port",
     "collect_topic_counts",
-    "profile_shards",
 )
+# Fields removed from ExperimentConfig that older logs still carry in
+# their header; dropped on read so those logs keep replaying.
+_RETIRED_FIELDS = ("parallel", "profile_shards")
 
 
 def config_to_dict(cfg) -> dict:
@@ -120,9 +122,10 @@ def _planner_to_dict(planner) -> dict:
 def config_from_dict(data: dict):
     """Rebuild an :class:`ExperimentConfig` from its provenance dict.
 
-    Observer-only fields (recording, export, profiling) are stripped: the
-    rebuilt config re-runs the *simulation*, and the replay driver decides
-    what to observe about it.
+    Observer-only fields (recording, export) and retired fields are
+    stripped: the rebuilt config re-runs the *simulation*, and the replay
+    driver decides what to observe about it.  Any other unknown field is
+    an error.
     """
     from repro.harness.experiment import ExperimentConfig
 
@@ -131,6 +134,8 @@ def config_from_dict(data: dict):
     known = {field.name for field in dataclasses.fields(ExperimentConfig)}
     kwargs: dict = {}
     for name, value in data.items():
+        if name in _RETIRED_FIELDS:
+            continue
         if name not in known:
             raise EventLogError(f"unknown config field {name!r} in log header")
         if name in _OBSERVER_FIELDS or name == "cost":
@@ -281,7 +286,7 @@ class EventLogRecorder:
 
         Returns the fingerprint so callers can print it without recomputing.
         """
-        from repro.parallel.runner import result_fingerprint
+        from repro.harness.experiment import result_fingerprint
 
         fingerprint = result_fingerprint(result)
         self._unsubscribe()

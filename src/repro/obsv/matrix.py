@@ -20,10 +20,9 @@ CI can gate on the whole matrix at once:
   the machine metadata matches (same downgrade-to-warning rule as
   ``bench --check``).
 
-Worker processes follow the :mod:`repro.parallel.supervisor` pattern:
-fork once per job, ship results back over a pipe as one pickled payload,
-and poll child liveness so a crashed worker surfaces as a structured
-per-cell failure instead of a hang.
+Worker processes fork once per job, ship results back over a pipe as one
+pickled payload, and poll child liveness so a crashed worker surfaces as
+a structured per-cell failure instead of a hang.
 """
 
 from __future__ import annotations
@@ -187,8 +186,7 @@ def cell_config(spec: dict, cell: MatrixCell):
 
 def run_cell(spec: dict, cell: MatrixCell) -> dict:
     """Run one cell's experiment; return its aggregated report row."""
-    from repro.harness.experiment import run_count_experiment
-    from repro.parallel.runner import result_fingerprint
+    from repro.harness.experiment import result_fingerprint, run_count_experiment
 
     cfg = cell_config(spec, cell)
     result = run_count_experiment(cfg)

@@ -67,7 +67,7 @@ def replay_run(path: str) -> ReplayReport:
     counts: dict[str, int] = {}
     kind = header.get("workload_kind", "count")
     result = _execute(kind, cfg, header, topics, counts)
-    from repro.parallel.runner import result_fingerprint
+    from repro.harness.experiment import result_fingerprint
 
     return ReplayReport(
         path=path,

@@ -64,13 +64,8 @@ class BenchScale:
     # Which repro.state backend the benched operators run on.  "dict" is
     # the seed-identical default; CI also smokes "tiered".
     state_backend: str = "dict"
-    # Cross-process link latency.  The default matches the cluster default;
-    # the "parallel" scale raises it to milliseconds — the conservative
-    # window protocol's lookahead equals this latency, and a sharded run
-    # amortizes its barrier cost over one window of events.
-    network_latency_s: float = 40e-6
 
-    def hashcount_config(self, parallel=None) -> ExperimentConfig:
+    def hashcount_config(self) -> ExperimentConfig:
         """The hash-count workload at this scale (one batched migration)."""
         return ExperimentConfig(
             num_workers=self.num_workers,
@@ -86,8 +81,6 @@ class BenchScale:
             domain=self.domain,
             variant="hash",
             state_backend=self.state_backend,
-            network_latency_s=self.network_latency_s,
-            parallel=parallel,
         )
 
     def q3_config(self) -> ExperimentConfig:
@@ -102,7 +95,6 @@ class BenchScale:
             migrate_at_s=(),
             seed=1,
             state_backend=self.state_backend,
-            network_latency_s=self.network_latency_s,
         )
 
 
@@ -142,21 +134,6 @@ SCALES: dict[str, BenchScale] = {
         domain=1_000_000,
         q3_rate=20_000.0,
         repeats=3,
-    ),
-    # Sharded-execution scale: four domains (8 workers / 2 per process) and
-    # millisecond links, so each conservative window covers a meaningful
-    # slab of events instead of a handful.
-    "parallel": BenchScale(
-        name="parallel",
-        num_workers=8,
-        workers_per_process=2,
-        num_bins=256,
-        rate=40_000.0,
-        duration_s=4.0,
-        domain=1_000_000,
-        q3_rate=16_000.0,
-        repeats=2,
-        network_latency_s=10e-3,
     ),
 }
 
@@ -292,59 +269,19 @@ def layer_breakdown(run: Callable[[], object]) -> dict[str, dict]:
     }
 
 
-def run_parallel_bench(scale: BenchScale, shards: int) -> dict:
-    """Sharded vs sharded-reference throughput of the hash-count workload.
-
-    Times the ``--parallel 0`` in-process reference engine against
-    ``--parallel shards`` forked execution of the *same* sharded
-    simulation, asserts they were byte-identical (``deterministic``), and
-    reports the wall-clock speedup.  On a single-core box the forked run
-    can be slower — that is the honest number, which is why the machine
-    metadata travels with the report.
-    """
-    from repro.parallel.runner import result_fingerprint
-
-    serial_cfg = scale.hashcount_config(parallel=0)
-    parallel_cfg = scale.hashcount_config(parallel=shards)
-    fingerprints: dict[str, str] = {}
-
-    def timed(cfg, key):
-        def run():
-            result = run_count_experiment(cfg)
-            fingerprints[key] = result_fingerprint(result)
-            return result
-
-        return run
-
-    serial = _measure(timed(serial_cfg, "serial"), scale.repeats)
-    forked = _measure(timed(parallel_cfg, "parallel"), scale.repeats)
-    return {
-        "shards": shards,
-        "serial_sharded": serial,
-        "parallel": forked,
-        "speedup": round(
-            forked["records_per_s"] / serial["records_per_s"], 3
-        ),
-        "deterministic": fingerprints["serial"] == fingerprints["parallel"],
-        "fingerprint": fingerprints["serial"],
-    }
-
-
 def run_bench(
     scale_name: str = "full",
     layers: bool = True,
     repeats: Optional[int] = None,
     state_backend: str = "dict",
-    parallel: Optional[int] = None,
 ) -> dict:
     """Run both workloads at ``scale_name``; return the full report dict.
 
     The report carries the scale's exact configuration, the measurement
     environment, the measured throughput of both workloads, the per-layer
-    CPU breakdown (unless ``layers`` is False), the sharded-execution
-    section (when ``parallel`` is set), and — at the ``full`` scale, where
-    the checked-in baseline applies — the baseline numbers and the speedup
-    against them.
+    CPU breakdown (unless ``layers`` is False), and — at the ``full``
+    scale, where the checked-in baseline applies — the baseline numbers
+    and the speedup against them.
     """
     if scale_name not in SCALES:
         raise ValueError(
@@ -370,8 +307,6 @@ def run_bench(
             "nexmark_q3": run_q3_bench(scale),
         },
     }
-    if parallel is not None:
-        report["parallel"] = run_parallel_bench(scale, parallel)
     if layers:
         hc_cfg = scale.hashcount_config()
         q3_cfg = scale.q3_config()

@@ -227,40 +227,3 @@ class Simulator:
             fired += 1
         if until is not None and until > self.now:
             self.now = until
-
-    def run_below(self, bound: float, max_events: Optional[int] = None) -> int:
-        """Fire every pending event with time **strictly less than** ``bound``.
-
-        Unlike :meth:`run`, the clock is *not* advanced to ``bound`` when the
-        heap drains or the next event lies at/after the bound: the caller (a
-        conservative parallel-DES window loop) may later be granted a smaller
-        next bound by its neighbors, and advancing the clock past that grant
-        would make remote injections appear in the simulated past.  Returns
-        the number of events fired.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        event_cls = Event
-        fired = 0
-        while heap:
-            if max_events is not None and fired >= max_events:
-                break
-            entry = heap[0]
-            ev = entry[2]
-            if ev.__class__ is event_cls:
-                if ev.cancelled:
-                    pop(heap)
-                    self._cancelled -= 1
-                    continue
-                callback = ev.callback
-            else:
-                callback = ev
-            time = entry[0]
-            if time >= bound:
-                break
-            pop(heap)
-            self.now = time
-            self._events_processed += 1
-            callback()
-            fired += 1
-        return fired

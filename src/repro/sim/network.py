@@ -84,7 +84,7 @@ class Link:
     def transmit(
         self,
         message: NetworkMessage,
-        on_delivered: Optional[Callable[[NetworkMessage], None]],
+        on_delivered: Callable[[NetworkMessage], None],
         on_sent: Optional[Callable[[NetworkMessage], None]] = None,
     ) -> float:
         """Queue ``message`` for transmission.
@@ -93,11 +93,6 @@ class Link:
         ``on_delivered`` fires one propagation latency later at the receiver.
         Returns the delivery time.  An active chaos degradation window
         scales the effective bandwidth and adds propagation latency.
-
-        ``on_delivered=None`` performs sender-side accounting only (queueing,
-        bandwidth, ``on_sent``) and schedules no local delivery: the sharded
-        cluster uses this to route cross-shard deliveries through the shard
-        outbox instead of the local event heap, at the returned time.
         """
         bandwidth = self.bandwidth
         latency = self.latency
@@ -132,8 +127,7 @@ class Link:
 
         self._sim.schedule_fast_at(done, _sent)
         delivery = done + latency
-        if on_delivered is not None:
-            self._sim.schedule_fast_at(delivery, lambda: on_delivered(message))
+        self._sim.schedule_fast_at(delivery, lambda: on_delivered(message))
         return delivery
 
     @property
@@ -180,16 +174,12 @@ class Cluster:
         self.cost = cost if cost is not None else CostModel()
         self.intra_process_latency = intra_process_latency_s
 
-        # The physical partition: the same worker -> process-group map the
-        # parallel engine shards on and the chaos layer fate-shares on.
-        from repro.parallel.partition import ShardPartition
-
-        self.partition = ShardPartition(num_workers, workers_per_process)
-        num_processes = self.partition.num_domains
+        num_processes = (num_workers + workers_per_process - 1) // workers_per_process
         self.processes: list[Process] = []
         for p in range(num_processes):
-            workers = self.partition.workers_of(p)
-            process = Process(index=p, worker_ids=list(workers))
+            lo = p * workers_per_process
+            hi = min(lo + workers_per_process, num_workers)
+            process = Process(index=p, worker_ids=list(range(lo, hi)))
             process.memory.attach_trace(sim, f"process[{p}]")
             self.processes.append(process)
 
@@ -197,8 +187,7 @@ class Cluster:
         # worker id -> hosting Process, resolved once (``process_of`` sits
         # on the per-message hot path).
         self._worker_process: list[Process] = [
-            self.processes[self.partition.domain_of(w)]
-            for w in range(num_workers)
+            self.processes[w // workers_per_process] for w in range(num_workers)
         ]
         self._links: dict[tuple[int, int], Link] = {}
         for src in range(num_processes):
@@ -225,18 +214,6 @@ class Cluster:
     def link(self, src_process: int, dst_process: int) -> Link:
         """The directed link between two distinct processes."""
         return self._links[(src_process, dst_process)]
-
-    def min_cross_latency(self) -> float:
-        """Minimum propagation latency over all cross-process links.
-
-        This is the conservative-parallel-DES lookahead: no event executed in
-        one simulated process can affect another simulated process sooner
-        than this, so shards may safely run ahead of each other by exactly
-        this margin between synchronizations.
-        """
-        if not self._links:
-            return self.intra_process_latency
-        return min(link.latency for link in self._links.values())
 
     def send(
         self,

@@ -14,6 +14,9 @@ Frame format (DESIGN.md §13)::
     <HBII little-endian  =  magic(0xWA1F) | kind(1B) | length(4B) | crc32(4B)
     followed by `length` payload bytes (pickled record tuple)
 
+The CRC covers kind, length and payload, so a flipped header bit is caught
+just like a flipped payload bit.
+
 Recovery scans frames in order and stops at the first invalid one — bad
 magic, a CRC mismatch (bit flip), or a frame that runs past the end of the
 log (torn final write).  Everything before the cut is intact by
@@ -52,8 +55,9 @@ from typing import Callable, Iterator, Optional
 from repro.state.backend import BinPayload, DictBackend
 from repro.state.codecs import Codec
 
-# Frame header: magic, kind, payload length, payload crc32.
+# Frame header: magic, kind, payload length, crc32 of kind+length+payload.
 _HEADER = struct.Struct("<HBII")
+_KIND_LENGTH = struct.Struct("<BI")
 _MAGIC = 0xA51F
 
 # Frame kinds.
@@ -67,12 +71,19 @@ K_DROP = 6  # ("drop", bin_id, epoch)
 _KINDS = (K_CREATE, K_PUT, K_DELETE, K_CKPT, K_INSTALL, K_DROP)
 
 
+def _frame_crc(kind: int, length: int, payload: bytes) -> int:
+    """The frame checksum: CRC32 over kind, length and payload."""
+    return zlib.crc32(payload, zlib.crc32(_KIND_LENGTH.pack(kind, length)))
+
+
 def encode_frame(kind: int, record: tuple) -> bytes:
     """One framed record: header (magic, kind, length, crc) + payload."""
     if kind not in _KINDS:
         raise ValueError(f"unknown frame kind {kind}")
     payload = pickle.dumps(record, protocol=4)
-    return _HEADER.pack(_MAGIC, kind, len(payload), zlib.crc32(payload)) + payload
+    length = len(payload)
+    crc = _frame_crc(kind, length, payload)
+    return _HEADER.pack(_MAGIC, kind, length, crc) + payload
 
 
 @dataclass
@@ -172,7 +183,8 @@ class WorkerWal:
             # Header claims a full payload; only part of it hit the disk.
             claimed = 64 + rng.randrange(64)
             body = bytes(rng.randrange(256) for _ in range(claimed // 2))
-            frame = _HEADER.pack(_MAGIC, K_PUT, claimed, zlib.crc32(body)) + body
+            crc = _frame_crc(K_PUT, claimed, body)
+            frame = _HEADER.pack(_MAGIC, K_PUT, claimed, crc) + body
             self.segments[-1].extend(frame)
             torn = len(frame)
         flipped: list[int] = []
@@ -237,7 +249,7 @@ class WorkerWal:
                 recovery.torn_frame = True
                 break
             body = data[body_start : body_start + length]
-            if zlib.crc32(body) != crc:
+            if _frame_crc(kind, length, body) != crc:
                 recovery.corrupt_frame = True
                 break
             try:

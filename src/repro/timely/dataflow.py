@@ -165,21 +165,11 @@ class Dataflow:
         ``watched_op``'s output frontier changes (registered at build)."""
         self._pending_watches.append((watched_op, dependent_op))
 
-    def build(
-        self,
-        batches_per_activation: int = 1,
-        runtime_factory: Optional[Callable[..., "Runtime"]] = None,
-    ) -> "Runtime":
-        """Freeze the graph and construct the runtime.
-
-        ``runtime_factory`` (a :class:`Runtime` subclass, e.g. the sharded
-        domain runtime) substitutes the coordinator implementation without
-        changing the graph.
-        """
+    def build(self, batches_per_activation: int = 1) -> "Runtime":
+        """Freeze the graph and construct the runtime."""
         if self._runtime is not None:
             raise RuntimeError("dataflow already built")
-        factory = runtime_factory if runtime_factory is not None else Runtime
-        runtime = factory(self, batches_per_activation)
+        runtime = Runtime(self, batches_per_activation)
         self._runtime = runtime
         for handle in self._probe_requests:
             handle._resolve(runtime.register_probe(handle.op_index))
@@ -254,9 +244,9 @@ class Runtime:
         self.graph = dataflow.graph
         self.num_workers = dataflow.cluster.num_workers
         self.batches_per_activation = batches_per_activation
-        self.tracker = self._make_tracker()
+        self.tracker = ProgressTracker(self.graph)
         self.workers: list[WorkerRuntime] = [
-            self._make_worker(w) for w in range(self.num_workers)
+            WorkerRuntime(self, w) for w in range(self.num_workers)
         ]
         self._channels_from: dict[tuple[int, int], list[ChannelDesc]] = {}
         for channel in self.graph.channels:
@@ -268,22 +258,6 @@ class Runtime:
         self._frontier_interested: set[int] = set()
         self._progress_scheduled = False
 
-        self._install_operators()
-
-        for group in dataflow._input_groups:
-            group._resolve(self)
-        for watched_op, dependent_op in dataflow._pending_watches:
-            self.watch_output(watched_op, dependent_op)
-
-    # -- construction hooks (overridden by the sharded domain runtime) -------
-
-    def _make_tracker(self) -> ProgressTracker:
-        return ProgressTracker(self.graph)
-
-    def _make_worker(self, worker_id: int) -> WorkerRuntime:
-        return WorkerRuntime(self, worker_id)
-
-    def _install_operators(self) -> None:
         for desc in self.graph.operators:
             for worker in self.workers:
                 logic = desc.logic_factory(worker.worker_id)
@@ -295,6 +269,11 @@ class Runtime:
                     self.tracker.capability_update(
                         desc.index, desc.initial_timestamp, +1
                     )
+
+        for group in dataflow._input_groups:
+            group._resolve(self)
+        for watched_op, dependent_op in dataflow._pending_watches:
+            self.watch_output(watched_op, dependent_op)
 
     # -- registration --------------------------------------------------------
 

@@ -103,8 +103,6 @@ def test_config_validation_rejects_elastic_misuse():
     with pytest.raises(ValueError):
         elastic_config(active_workers=0)
     with pytest.raises(ValueError):
-        elastic_config(parallel=0)
-    with pytest.raises(ValueError):
         elastic_config(native=True)
     with pytest.raises(ValueError):
         # Joining a worker that is not the lowest standby id.

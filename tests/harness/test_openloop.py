@@ -78,37 +78,20 @@ def test_dilated_epochs_measure_latency_in_processing_time():
     assert timeline.overall.max_value < 0.05
 
 
-# -- resident (sharded-mode) ticks ---------------------------------------------
-
-
-def build_resident(rate, duration_s, num_workers=4):
-    df = make_dataflow(num_workers=num_workers, workers_per_process=num_workers)
+def test_closed_handle_share_is_redistributed():
+    # A handle closing mid-run (a crashed process) must not silently drop
+    # its share of the offered load: each tick deals the full count over
+    # the still-open handles, keeping the open-loop rate exact.
+    df = make_dataflow(num_workers=4, workers_per_process=4)
     stream, group = df.new_input("data")
     stream.map(lambda x: x).probe()
     runtime = df.build()
     source = OpenLoopSource(
         runtime, group,
         generator=lambda w, t, n: [(w, t, i) for i in range(n)],
-        rate=rate, duration_s=duration_s,
-        workers=list(range(num_workers)),
+        rate=1000, duration_s=1.0,
     )
-    return runtime, source, group
-
-
-def test_resident_tick_redistributes_closed_handle_share():
-    # A resident handle closing mid-run must not silently drop its share
-    # of the offered load: the residual is re-dealt over the still-open
-    # resident handles, keeping the open-loop rate exact.
-    runtime, source, group = build_resident(rate=1000, duration_s=1.0)
-    handles = group.handles()
-    runtime.sim.schedule_at(0.495, handles[1].close)
-    source.start()
-    runtime.run_to_quiescence()
-    assert source.records_injected == 1000
-
-
-def test_resident_tick_with_all_handles_open_matches_nominal_rate():
-    runtime, source, _ = build_resident(rate=1000, duration_s=1.0)
+    runtime.sim.schedule_at(0.495, group.handles()[1].close)
     source.start()
     runtime.run_to_quiescence()
     assert source.records_injected == 1000
@@ -136,19 +119,6 @@ def build_elastic(rate, duration_s, active, num_workers=4, collect=None):
 def test_elastic_source_requires_active_set():
     with pytest.raises(ValueError, match="initially-fed"):
         build_elastic(rate=100, duration_s=1.0, active=None)
-
-
-def test_elastic_source_rejects_sharded_mode():
-    df = make_dataflow(num_workers=2, workers_per_process=2)
-    _stream, group = df.new_input("data")
-    runtime = df.build()
-    with pytest.raises(ValueError, match="sharded"):
-        ElasticOpenLoopSource(
-            runtime, group,
-            generator=lambda v, t, n: [],
-            rate=100.0, duration_s=1.0,
-            workers=[0, 1], active=[0],
-        )
 
 
 def test_elastic_feed_mutation_is_idempotent():

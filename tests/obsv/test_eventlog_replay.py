@@ -1,10 +1,15 @@
 """Record + deterministic replay tests (repro.obsv.eventlog / .replay)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.harness.experiment import ExperimentConfig, run_count_experiment
+from repro.harness.experiment import (
+    ExperimentConfig,
+    result_fingerprint,
+    run_count_experiment,
+)
 from repro.obsv import EventLogError, read_log_meta, replay_run
 from repro.obsv.eventlog import config_from_dict, config_to_dict, read_events
 
@@ -46,6 +51,17 @@ def test_config_from_dict_rejects_unknown_fields():
     data["definitely_not_a_field"] = 1
     with pytest.raises(EventLogError, match="unknown"):
         config_from_dict(data)
+
+
+def test_log_with_retired_config_fields_still_replays():
+    # Header and footer of a small ``count --record`` log written while
+    # ExperimentConfig still had ``parallel`` and ``profile_shards``
+    # (replay reads only these two lines).  Pins both that retired fields
+    # are dropped on read and that the footer digest is unchanged.
+    log = Path(__file__).with_name("retired_fields_count.jsonl")
+    header, _ = read_log_meta(str(log))
+    assert {"parallel", "profile_shards"} <= set(header["config"])
+    assert replay_run(str(log)).ok
 
 
 def test_record_then_replay_reproduces_fingerprint(tmp_path):
@@ -139,8 +155,6 @@ def test_nexmark_run_records_and_replays(tmp_path):
 
 def test_recording_does_not_perturb_the_run(tmp_path):
     """The bus invariant, end to end: recorded and bare runs agree."""
-    from repro.parallel.runner import result_fingerprint
-
     bare = run_count_experiment(_small_config(fingerprint_state=True))
     log = tmp_path / "run.jsonl"
     recorded = run_count_experiment(_small_config(record_log=str(log)))

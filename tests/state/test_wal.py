@@ -40,7 +40,8 @@ def _decode(frame: bytes):
     magic, kind, length, crc = _HEADER.unpack_from(frame, 0)
     body = frame[_HEADER.size : _HEADER.size + length]
     assert magic == _MAGIC
-    assert zlib.crc32(body) == crc
+    # The checksum covers the kind and length bytes as well as the body.
+    assert zlib.crc32(frame[2:7] + body) == crc
     return kind, pickle.loads(body)
 
 
@@ -144,6 +145,18 @@ def test_bit_flip_detected_by_checksum():
     # Surviving prefix is intact.
     for _, record in frames:
         assert record[2] == record[3]
+
+
+def test_flipped_kind_byte_is_a_corrupt_frame():
+    wal = WorkerWal(0)
+    for bin_id in range(3):
+        wal.append(K_CREATE, (bin_id, 0))
+    # K_CREATE (1) ^ 4 is K_INSTALL (5): still a known kind, so only the
+    # checksum can tell the header was damaged.
+    wal.segments[0][2] ^= 4
+    frames, recovery = wal.scan()
+    assert frames == []
+    assert recovery.corrupt_frame
 
 
 # -- backend lifecycle and recovery -------------------------------------------

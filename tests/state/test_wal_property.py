@@ -8,7 +8,7 @@ prefix implies.  No cut can make replay invent, reorder, or corrupt state.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.state.wal import (
@@ -110,6 +110,13 @@ def test_any_byte_truncation_recovers_a_valid_prefix(ops, cut):
 
 @settings(max_examples=40, deadline=None)
 @given(ops=_OPS, seed=st.integers(0, 2**16), flips=st.integers(1, 4))
+# A flip in the first header's kind byte turns K_CREATE into K_INSTALL,
+# which the checksum must catch (it covers the header, not just the body).
+@example(
+    ops=[("create", 0, 0, 0), ("create", 1, 0, 0), ("create", 2, 0, 0)],
+    seed=10595,
+    flips=2,
+)
 def test_bit_flips_never_corrupt_the_replayed_prefix(ops, seed, flips):
     full_frames, _ = _build_log(ops).scan()
 

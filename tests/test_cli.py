@@ -291,23 +291,6 @@ def test_bench_check_tolerance_override_per_workload(tmp_path, capsys):
     assert code == 2
 
 
-def test_bench_parallel_section(tmp_path, capsys):
-    import json
-
-    out_path = tmp_path / "bench.json"
-    code = main(["bench", "--scale", "tiny", "--no-layers", "--repeats", "1",
-                 "--parallel", "2", "--output", str(out_path)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "parallel: 2 shards" in out
-    report = json.loads(out_path.read_text())
-    par = report["parallel"]
-    assert par["shards"] == 2
-    assert par["deterministic"] is True
-    assert par["speedup"] > 0
-    assert par["serial_sharded"]["records"] == par["parallel"]["records"]
-
-
 def test_profile_flag_prints_cumulative_stats(tmp_path, capsys):
     out_path = tmp_path / "bench.json"
     code = main(["--profile", "bench", "--scale", "tiny", "--no-layers",
@@ -696,8 +679,6 @@ def test_list_names_autoscaler_policies(capsys):
         (["count", "--workers", "6", "--workers-per-process", "2",
           "--duration", "6", "--active", "4",
           "--scaling-plan", "join@1:5"], "lowest standby"),
-        (["count", "--workers", "6", "--workers-per-process", "2",
-          "--active", "4", "--parallel", "0"], "parallel"),
         (["count", "--workers", "4", "--workers-per-process", "2",
           "--autoscale", "--scale-out-load", "100",
           "--scale-in-load", "200"], "--scale-in-load"),
