@@ -87,8 +87,9 @@ class ExperimentConfig:
     codec: str = "modeled"
     hot_capacity_bytes: Optional[int] = None
     # Durable WAL backend knobs (state_backend="wal").  ``wal_sync_every``
-    # is the fsync cadence in application batches: 1 syncs per committed
-    # batch, larger values widen the window a crash can lose.
+    # is the fsync cadence in committed application groups (every bin one
+    # S notification applied on a worker): 1 syncs per group, larger values
+    # widen the window a crash can lose.
     wal_segment_bytes: int = 1 << 16
     wal_compact_threshold: int = 512
     wal_sync_every: int = 1

@@ -97,7 +97,6 @@ class NexmarkGenerator:
 
     def _recent_person_id(self, r: int) -> int:
         newest = max(self._next_person - self._person_stride, 0)
-        window = 50 * self._person_stride
         offset = (r % 50) * self._person_stride
         return max(newest - min(offset, newest), newest % self._person_stride)
 

@@ -15,7 +15,9 @@ Frame format (DESIGN.md §13)::
     followed by `length` payload bytes (pickled record tuple)
 
 The CRC covers kind, length and payload, so a flipped header bit is caught
-just like a flipped payload bit.
+just like a flipped payload bit.  A ``TXN`` frame wraps the records of one
+committed application group; since one checksum covers all of them,
+recovery keeps or drops the group whole.
 
 Recovery scans frames in order and stops at the first invalid one — bad
 magic, a CRC mismatch (bit flip), or a frame that runs past the end of the
@@ -28,18 +30,19 @@ Crash-consistency model: :meth:`WorkerWal.sync` advances the fsync horizon.
 Frames behind the horizon survive any crash; frames past it exist only in
 the modeled page cache and are destroyed by the ``lose_unsynced_tail``
 storage fault (an optimistic disk keeps them when no fault is injected).
-``WalBackend`` syncs after every application batch by default
-(``sync_every=1``), i.e. one fsync per committed transaction.
+``WalBackend`` syncs after every committed application group by default
+(``sync_every=1``), i.e. one fsync per transaction.
 
-Epoch stamps: the backend counts application batches; every frame carries
+Epoch stamps: the backend counts application groups; every frame carries
 the epoch it was written under and key-level writes additionally record a
 per-key dirty epoch.  ``extract_bin(..., dirty_since=E)`` produces a
 *delta* payload holding only keys dirtied strictly after ``E`` — the wire
 format of delta migration (base payloads record their epoch at capture).
 
 Compaction reuses the sorted-log design at log granularity: once
-``compact_threshold`` frames accumulate, the whole log is rewritten as one
-checkpoint frame per resident bin, bounding replay work and log size.
+``compact_threshold`` records accumulate (a ``TXN`` frame counts each record
+it holds), the whole log is rewritten as one checkpoint frame per resident
+bin, bounding replay work and log size.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ K_DELETE = 3  # ("del", bin_id, epoch, key)
 K_CKPT = 4  # ("ckpt", bin_id, epoch, state)
 K_INSTALL = 5  # ("install", bin_id, epoch, state)
 K_DROP = 6  # ("drop", bin_id, epoch)
+K_TXN = 7  # (epoch, ((kind, record), ...)): one committed application group
 
-_KINDS = (K_CREATE, K_PUT, K_DELETE, K_CKPT, K_INSTALL, K_DROP)
+_KINDS = (K_CREATE, K_PUT, K_DELETE, K_CKPT, K_INSTALL, K_DROP, K_TXN)
 
 
 def _frame_crc(kind: int, length: int, payload: bytes) -> int:
@@ -373,6 +377,16 @@ class _RecoveredBin:
     dirty: dict = field(default_factory=dict)
 
 
+def _records_of(frames: list[tuple[int, tuple]]) -> Iterator[tuple[int, tuple]]:
+    """The logged records of a frame sequence, ``TXN`` frames unpacked in
+    order."""
+    for kind, record in frames:
+        if kind == K_TXN:
+            yield from record[1]
+        else:
+            yield kind, record
+
+
 def replay_frames(
     frames: list[tuple[int, tuple]], state_factory: Callable[[], object]
 ) -> tuple[dict, int]:
@@ -380,7 +394,7 @@ def replay_frames(
 
     Returns ``(bins, max_epoch)`` where ``bins`` maps bin id to a
     :class:`_RecoveredBin`.  Pure function of the frames — the property
-    tests drive it directly.
+    tests drive it directly.  A ``TXN`` frame replays its records in order.
     """
     bins: dict[object, _RecoveredBin] = {}
     max_epoch = 0
@@ -389,7 +403,7 @@ def replay_frames(
         state = state_factory()
         return _RecoveredBin(state=state, mapping=isinstance(state, (dict, MutableMapping)))
 
-    for kind, record in frames:
+    for kind, record in _records_of(frames):
         bin_id = record[0]
         epoch = record[1]
         if epoch > max_epoch:
@@ -400,8 +414,11 @@ def replay_frames(
             bins.pop(bin_id, None)
         elif kind in (K_CKPT, K_INSTALL):
             state = record[2]
+            mapping = isinstance(state, (dict, MutableMapping))
+            # Later PUT/DELETE records fold into a copy: the frames stay as
+            # they were read.
             bins[bin_id] = _RecoveredBin(
-                state=state, mapping=isinstance(state, (dict, MutableMapping))
+                state=dict(state) if mapping else state, mapping=mapping
             )
         elif kind == K_PUT:
             entry = bins.get(bin_id)
@@ -447,7 +464,7 @@ class WalBackend(DictBackend):
         self._wal: Optional[WorkerWal] = None
         self._epoch = 0
         self._applies_since_sync = 0
-        self._frames_since_compaction = 0
+        self._records_since_compaction = 0
         self.compactions = 0
         # Recovery summary from bind time (None when the log was empty).
         self.last_recovery: Optional[WalRecovery] = None
@@ -489,14 +506,20 @@ class WalBackend(DictBackend):
 
     # -- logging helpers --------------------------------------------------------
 
-    def _append(self, kind: int, record: tuple, *, sync: bool = False) -> None:
+    def _append(
+        self, kind: int, record: tuple, *, records: int = 1, sync: bool = False
+    ) -> bool:
+        """Append one frame holding ``records`` logged records; compact once
+        the threshold is reached.  Returns whether it compacted."""
         wal = self._log()
         wal.append(kind, record)
-        self._frames_since_compaction += 1
+        self._records_since_compaction += records
         if sync:
             wal.sync()
-        if self._frames_since_compaction >= self.compact_threshold:
+        if self._records_since_compaction >= self.compact_threshold:
             self.compact()
+            return True
+        return False
 
     def _log_put(self, bin_id: object, state: WalState, key: object, value) -> None:
         state.dirty[key] = self._epoch
@@ -519,14 +542,37 @@ class WalBackend(DictBackend):
         return self._epoch
 
     def note_applied(self, bin_id: object) -> None:
-        """Commit one application batch: checkpoint opaque bins, close the
-        epoch, and fsync on the configured cadence."""
-        state = self._states.get(bin_id)
-        if state is not None and not isinstance(state, WalState):
-            # Opaque state: mutations are invisible to the log, so each
-            # batch writes the whole (small, modeled) object.
-            self._append(K_CKPT, (bin_id, self._epoch, self._durable_form(state)))
-        self._epoch += 1
+        """Commit one application batch: a one-bin group."""
+        self._commit((bin_id,))
+
+    def note_applied_group(self, bin_ids, starts) -> None:
+        """Commit every bin one notification applied as one transaction."""
+        records = self._records
+        for j, bin_id in enumerate(bin_ids):
+            count = starts[j + 1] - starts[j]
+            if count > 0:
+                records[bin_id] = records.get(bin_id, 0) + count
+        self._commit(bin_ids)
+
+    def _commit(self, bin_ids) -> None:
+        """Commit one application group: one ``TXN`` frame checkpointing its
+        opaque bins, one epoch, one step of the fsync cadence."""
+        epoch = self._epoch
+        states = self._states
+        # Opaque states: mutations are invisible to the log, so each commit
+        # checkpoints the whole (small, modeled) object.  Mapping states
+        # logged their writes key by key already.
+        ckpts = []
+        for bin_id in bin_ids:
+            state = states.get(bin_id)
+            if state is not None and not isinstance(state, WalState):
+                ckpts.append((K_CKPT, (bin_id, epoch, state)))
+        compacted = False
+        if ckpts:
+            compacted = self._append(K_TXN, (epoch, tuple(ckpts)), records=len(ckpts))
+        self._epoch = epoch + 1
+        if compacted:
+            return  # the compacted log already holds this group, synced
         self._applies_since_sync += 1
         if self._applies_since_sync >= self.sync_every:
             self._log().sync()
@@ -539,7 +585,9 @@ class WalBackend(DictBackend):
             for bin_id, state in self._states.items()
         ]
         self._log().reset(frames)
-        self._frames_since_compaction = 0
+        self._records_since_compaction = 0
+        # The rewritten log ends synced: the fsync cadence starts over.
+        self._applies_since_sync = 0
         self.compactions += 1
 
     def wal_bytes(self) -> int:

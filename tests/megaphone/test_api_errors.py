@@ -46,7 +46,7 @@ def test_build_rejects_wrong_initial_size():
 
 def test_non_power_of_two_bins_rejected_at_routing():
     _, control, data = make_inputs()
-    op = build_migrateable(
+    build_migrateable(
         control, [data], [lambda r: 0], lambda app: None, num_bins=4,
         name="ok",
     )
@@ -61,6 +61,6 @@ def test_duplicate_build_on_same_dataflow():
     df, control, data = make_inputs()
     state_machine(control, data, fold=lambda k, v, s: [], num_bins=4, name="a")
     state_machine(control, data, fold=lambda k, v, s: [], num_bins=4, name="b")
-    runtime = df.build()
+    df.build()
     with pytest.raises(RuntimeError, match="already built"):
         df.build()

@@ -115,7 +115,7 @@ def test_independent_control_streams_migrate_independently():
         counting_applier(log_b), num_bins=BINS, name="b", initial=initial,
     )
     probe_a = df.probe(op_a.output)
-    probe_b = df.probe(op_b.output)
+    df.probe(op_b.output)
     runtime = df.build()
     ticker_a = EpochTicker(runtime, group_a, granularity_ms=1)
     ticker_b = EpochTicker(runtime, group_b, granularity_ms=1)

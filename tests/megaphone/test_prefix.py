@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.megaphone.control import splitmix64
 from repro.megaphone.prefix import (
-    HASH_BITS,
     Prefix,
     PrefixRouter,
     SplittableBinStore,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.megaphone.bins import Bin, BinStore
+from repro.megaphone.bins import BinStore
 from repro.megaphone.control import BinnedConfiguration, ControlInst
 from repro.megaphone.routing import RoutingTable
 

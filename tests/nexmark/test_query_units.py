@@ -6,7 +6,7 @@ from repro.megaphone.operators import ApplicationContext
 from repro.megaphone.api import Notificator
 from repro.megaphone.bins import BinStore
 from repro.nexmark.config import NexmarkConfig
-from repro.nexmark.model import Auction, Bid, Person
+from repro.nexmark.model import Auction, Bid
 from repro.nexmark.queries import q1, q5, q7
 from repro.nexmark.queries.common import ClosedAuction, closed_auctions_fold
 
@@ -103,8 +103,6 @@ def test_q5_megaphone_fold_window_semantics():
     # Exercise the fold through its module-level pieces: counts buckets and
     # prunes outside the window.
     state = {}
-    app = make_app(time=0, state=state)
-    notificator = Notificator(app)
 
     def fold(time, data):
         # Re-create the fold inline (mirrors q5.megaphone's fold closure).

@@ -84,7 +84,6 @@ def test_spread_target_populates_fresh_workers():
 
 def test_plan_moves_steps_are_interference_free():
     current = BinnedConfiguration.round_robin(32, 4)
-    bin_load = {b: float(b % 7) for b in range(32)}
     target = balanced_target(
         current, {b: 10.0 if b < 8 else 1.0 for b in range(32)}, num_workers=4
     )

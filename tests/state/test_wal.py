@@ -17,6 +17,7 @@ from repro.state.wal import (
     K_CKPT,
     K_CREATE,
     K_PUT,
+    K_TXN,
     WalBackend,
     WalRegistry,
     WalState,
@@ -286,6 +287,140 @@ def test_opaque_state_checkpointed_per_batch():
     reborn.bind_worker(0)
     assert reborn._states[0].value == 17
     assert not reborn.bin_delta_capable(0)
+
+
+# -- group commit ----------------------------------------------------------------
+
+
+def _opaque_backend(registry, **options):
+    backend = make_backend(
+        "wal", _Counter, lambda s: 8.0, codec="modeled",
+        options={"wal_registry": registry, **options},
+    )
+    backend.bind_worker(0)
+    return backend
+
+
+def _commit_group(backend, bin_ids, value):
+    """Apply ``value`` to every bin, then commit them as one group."""
+    for bin_id in bin_ids:
+        backend._states[bin_id].value = value
+    backend.note_applied_group(bin_ids, list(range(len(bin_ids) + 1)))
+
+
+def test_group_commit_is_one_frame_one_epoch_one_sync():
+    registry = WalRegistry()
+    backend = _opaque_backend(registry)
+    bins = [0, 1, 2, 3, 4]
+    for bin_id in bins:
+        backend.create_bin(bin_id)
+    wal = registry.wal_for(0)
+    frames, syncs, epoch = wal.frames_appended, wal.syncs, backend.current_epoch()
+    _commit_group(backend, bins, 7)
+    assert wal.frames_appended == frames + 1
+    assert wal.syncs == syncs + 1
+    assert backend.current_epoch() == epoch + 1
+    assert wal.unsynced_bytes() == 0
+    logged, _ = wal.scan()
+    kind, (txn_epoch, records) = logged[-1]
+    assert kind == K_TXN and txn_epoch == epoch
+    assert [(k, r[0]) for k, r in records] == [(K_CKPT, b) for b in bins]
+    # The group's record counts land in the per-bin stats, as per-bin
+    # commits would have left them.
+    assert [backend.bin_stats(b).records for b in bins] == [1] * len(bins)
+
+
+def test_sync_every_counts_groups():
+    registry = WalRegistry()
+    backend = _opaque_backend(registry, sync_every=3)
+    for bin_id in range(4):
+        backend.create_bin(bin_id)
+    wal = registry.wal_for(0)
+    syncs = wal.syncs
+    synced_after = []
+    for group in range(9):
+        _commit_group(backend, [0, 1, 2, 3], group)
+        synced_after.append(wal.syncs - syncs)
+    assert synced_after == [0, 0, 1, 1, 1, 2, 2, 2, 3]
+
+
+def test_group_recovers_whole_after_crash():
+    registry = WalRegistry()
+    backend = _opaque_backend(registry)
+    bins = [3, 5, 8, 13]
+    for bin_id in bins:
+        backend.create_bin(bin_id)
+    _commit_group(backend, bins, 21)
+    registry.apply_crash_faults([0], lose_unsynced_tail=True, torn_write=True, seed=3)
+    reborn = _opaque_backend(registry)
+    assert sorted(reborn.bin_ids()) == bins
+    assert [reborn._states[b].value for b in bins] == [21] * len(bins)
+    assert reborn.current_epoch() > reborn.last_recovery.max_epoch
+
+
+def test_bit_flip_in_txn_drops_the_whole_transaction():
+    registry = WalRegistry()
+    backend = _opaque_backend(registry)
+    bins = [0, 1, 2]
+    for bin_id in bins:
+        backend.create_bin(bin_id)
+    _commit_group(backend, bins, 1)
+    wal = registry.wal_for(0)
+    second_txn = wal.total_bytes()
+    _commit_group(backend, bins, 2)
+    total = wal.total_bytes()
+    # Flip one payload bit in the middle of the second transaction.
+    seg, local = wal._locate((second_txn + total) // 2)
+    wal.segments[seg][local] ^= 0x10
+    frames, recovery = wal.scan()
+    assert recovery.corrupt_frame
+    # Exactly the second transaction is cut; the frames before it survive.
+    assert recovery.truncated_bytes == total - second_txn
+    assert [kind for kind, _ in frames] == [K_CREATE] * len(bins) + [K_TXN]
+    reborn = _opaque_backend(registry)
+    # No bin sees the torn-up group: all still hold the first one's value.
+    assert [reborn._states[b].value for b in bins] == [1, 1, 1]
+
+
+def test_compact_threshold_counts_records_not_frames():
+    registry = WalRegistry()
+    backend = _opaque_backend(registry, compact_threshold=8)
+    for bin_id in range(4):
+        backend.create_bin(bin_id)  # four records logged
+    _commit_group(backend, [0, 1, 2, 3], 1)  # one frame, four records
+    assert backend.compactions == 1
+
+
+def test_compaction_restarts_the_sync_cadence():
+    registry = WalRegistry()
+    backend = _opaque_backend(registry, sync_every=3)
+    backend.create_bin(0)
+    wal = registry.wal_for(0)
+    for value in range(2):
+        _commit_group(backend, [0], value)
+    backend.compact()  # rewrites the log synced
+    syncs = wal.syncs
+    for value in range(2):
+        _commit_group(backend, [0], value)
+    assert wal.syncs == syncs  # two groups since the compaction's sync
+    _commit_group(backend, [0], 9)
+    assert wal.syncs == syncs + 1
+
+
+def test_group_that_compacts_counts_as_synced():
+    registry = WalRegistry()
+    backend = _opaque_backend(registry, sync_every=3, compact_threshold=4)
+    for bin_id in range(3):
+        backend.create_bin(bin_id)
+    wal = registry.wal_for(0)
+    _commit_group(backend, [0, 1, 2], 1)  # crosses the threshold
+    assert backend.compactions == 1
+    assert wal.unsynced_bytes() == 0
+    syncs = wal.syncs
+    backend.create_bin(3)
+    for value in range(3):
+        _commit_group(backend, [3], value)
+    assert wal.syncs == syncs + 2  # create_bin's sync, then the third group
 
 
 # -- delta extraction ----------------------------------------------------------

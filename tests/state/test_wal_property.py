@@ -12,19 +12,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.state.wal import (
+    K_CKPT,
     K_CREATE,
     K_DELETE,
     K_DROP,
     K_PUT,
+    K_TXN,
     WorkerWal,
     replay_frames,
 )
 
 # One logical operation: (op, bin, key, value) with small domains so ops
-# collide on bins/keys (creates, overwrites, deletes, drops all interleave).
+# collide on bins/keys (creates, overwrites, deletes, drops and group
+# commits all interleave).
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["create", "put", "delete", "drop"]),
+        st.sampled_from(["create", "put", "delete", "drop", "group"]),
         st.integers(0, 3),
         st.integers(0, 5),
         st.integers(-100, 100),
@@ -38,7 +41,8 @@ def _build_log(ops, sync_at=None, segment_bytes=256):
     """Fold an op list into a WorkerWal the way WalBackend frames it.
 
     ``sync_at`` places the fsync horizon after that many ops (default: all
-    of them).
+    of them).  A ``group`` op commits one transaction: a ``TXN`` frame
+    checkpointing every live bin up to ``bin`` to ``{key: value}``.
     """
     wal = WorkerWal(0, segment_bytes=segment_bytes)
     live = set()
@@ -51,6 +55,12 @@ def _build_log(ops, sync_at=None, segment_bytes=256):
             if bin_id in live:
                 live.discard(bin_id)
                 wal.append(K_DROP, (bin_id, epoch))
+        elif op == "group":
+            ckpts = tuple(
+                (K_CKPT, (b, epoch, {key: value})) for b in sorted(live) if b <= bin_id
+            )
+            if ckpts:
+                wal.append(K_TXN, (epoch, ckpts))
         elif bin_id in live:
             if op == "put":
                 wal.append(K_PUT, (bin_id, epoch, key, value))
@@ -65,10 +75,18 @@ def _build_log(ops, sync_at=None, segment_bytes=256):
 
 def _fold(frames):
     """Independent reference fold of a frame sequence (dict bins only)."""
-    bins = {}
+    records = []
     for kind, record in frames:
+        if kind == K_TXN:
+            records.extend(record[1])
+        else:
+            records.append((kind, record))
+    bins = {}
+    for kind, record in records:
         bin_id = record[0]
-        if kind == K_CREATE:
+        if kind == K_CKPT:
+            bins[bin_id] = dict(record[2])
+        elif kind == K_CREATE:
             bins[bin_id] = {}
         elif kind == K_DROP:
             bins.pop(bin_id, None)

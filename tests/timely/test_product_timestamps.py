@@ -33,7 +33,6 @@ def test_set_valued_frontier_observed_by_probe():
     stream, group = df.new_input(initial_timestamp=(0, 0))
     probe = stream.map(lambda x: x).probe()
     runtime = df.build()
-    observed = []
 
     def drive():
         handle = group.handle(0)
