@@ -765,10 +765,6 @@ def cmd_bench(args) -> int:
                 f"{layer} {entry['fraction']:.0%}" for layer, entry in top
             )
             print(f"{workload} CPU by layer: {breakdown}")
-    if "speedup" in report:
-        for workload, factor in report["speedup"].items():
-            base = report["baseline"][workload]["records_per_s"]
-            print(f"{workload}: {factor:.2f}x vs baseline ({base:,.0f} rec/s)")
     if args.check is not None:
         ok, deltas = check_report(
             report,
@@ -778,13 +774,27 @@ def cmd_bench(args) -> int:
         )
         print_table(
             f"regression check vs {args.check} (tolerance {args.tolerance:.0%})",
-            ["workload", "committed rec/s", "current rec/s", "delta", "status"],
+            [
+                "workload",
+                "committed rec/s",
+                "current rec/s",
+                "delta",
+                "committed events",
+                "current events",
+                "status",
+            ],
             [
                 (
                     row["workload"],
                     f"{row['baseline_records_per_s']:,.0f}",
                     f"{row['records_per_s']:,.0f}",
                     f"{row['delta']:+.1%}",
+                    (
+                        f"{row['baseline_sim_events']:,}"
+                        if row["baseline_sim_events"] is not None
+                        else "-"
+                    ),
+                    f"{row['sim_events']:,}",
                     row["status"],
                 )
                 for row in deltas
@@ -805,7 +815,10 @@ def cmd_bench(args) -> int:
             f"{failed} failed"
         )
         if not ok:
-            print("FAIL: throughput regressed beyond tolerance")
+            if any(row["status"] == "events-mismatch" for row in deltas):
+                print("FAIL: simulated event count differs from the committed report")
+            if any(row["status"] == "regression" for row in deltas):
+                print("FAIL: throughput regressed beyond tolerance")
             return 1
         print("check passed")
         return 0
@@ -1118,7 +1131,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--check", default=None, metavar="BASELINE_JSON",
         help="compare against a committed bench report instead of writing "
-        "one; exit 1 if records/s regressed beyond the tolerance",
+        "one; exit 1 if a simulated event count differs, or records/s "
+        "regressed beyond the tolerance on the same machine",
     )
     bench.add_argument(
         "--tolerance", type=float, default=0.15,

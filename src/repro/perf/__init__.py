@@ -7,7 +7,6 @@ breakdown.  ``python -m repro.cli bench`` is the command-line entry point.
 """
 
 from repro.perf.hotpath import (
-    BASELINE,
     SCALES,
     BenchScale,
     layer_breakdown,
@@ -18,7 +17,6 @@ from repro.perf.hotpath import (
 )
 
 __all__ = [
-    "BASELINE",
     "SCALES",
     "BenchScale",
     "layer_breakdown",

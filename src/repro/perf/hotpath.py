@@ -14,10 +14,10 @@ rate, fixed schedule), so two runs differ only in wall-clock time.  Each
 workload runs ``repeats`` times and reports the fastest wall time — the
 standard guard against scheduler noise on a shared machine.
 
-``BASELINE`` holds the pre-optimization numbers, measured at the ``full``
-scale on the commit immediately before the hot-path work landed, so
-``speedup`` in the report always compares against a fixed, checked-in
-reference rather than whatever happens to be on disk.
+Wall-clock numbers compare only on one machine, so the report carries no
+ratio against a number measured elsewhere; a code change is judged by an
+interleaved A/B on one box.  The simulated event counts, in contrast, are
+machine-independent: :func:`check_report` gates them exactly.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ _LAYERS = (
 class BenchScale:
     """One size point of the benchmark.
 
-    ``full`` reproduces the configuration the checked-in baseline was
-    measured at; the smaller scales exist for CI smoke jobs and tests.
+    ``full`` is the scale of the committed ``BENCH_hotpath.json`` report;
+    the smaller scales exist for CI smoke jobs and tests.
     """
 
     name: str
@@ -123,7 +123,7 @@ SCALES: dict[str, BenchScale] = {
         q3_rate=8_000.0,
         repeats=2,
     ),
-    # The scale the checked-in BASELINE numbers were measured at.
+    # The scale of the committed BENCH_hotpath.json report.
     "full": BenchScale(
         name="full",
         num_workers=8,
@@ -135,27 +135,6 @@ SCALES: dict[str, BenchScale] = {
         q3_rate=20_000.0,
         repeats=3,
     ),
-}
-
-
-# Pre-optimization throughput, measured 2026-08-05 at the ``full`` scale on
-# the commit immediately preceding the hot-path work (single run each).
-# The report's ``speedup`` section divides current numbers by these.
-BASELINE: dict[str, dict] = {
-    "hash_count": {
-        "records": 250_000,
-        "wall_seconds": 3.0787,
-        "records_per_s": 81_203.27,
-        "sim_events": 201_751,
-        "sim_events_per_s": 65_531.36,
-    },
-    "nexmark_q3": {
-        "records": 100_000,
-        "wall_seconds": 1.8406,
-        "records_per_s": 54_329.49,
-        "sim_events": 119_989,
-        "sim_events_per_s": 65_189.42,
-    },
 }
 
 
@@ -278,10 +257,8 @@ def run_bench(
     """Run both workloads at ``scale_name``; return the full report dict.
 
     The report carries the scale's exact configuration, the measurement
-    environment, the measured throughput of both workloads, the per-layer
-    CPU breakdown (unless ``layers`` is False), and — at the ``full``
-    scale, where the checked-in baseline applies — the baseline numbers
-    and the speedup against them.
+    environment, the measured throughput and simulated event count of both
+    workloads, and the per-layer CPU breakdown (unless ``layers`` is False).
     """
     if scale_name not in SCALES:
         raise ValueError(
@@ -315,18 +292,6 @@ def run_bench(
             "nexmark_q3": layer_breakdown(
                 lambda: run_nexmark_experiment(3, q3_cfg)
             ),
-        }
-    # The checked-in baseline was measured on the dict backend; a speedup
-    # against it is only meaningful on the same backend.
-    if scale.name == "full" and scale.state_backend == "dict":
-        report["baseline"] = BASELINE
-        report["speedup"] = {
-            workload: round(
-                report["workloads"][workload]["records_per_s"]
-                / BASELINE[workload]["records_per_s"],
-                3,
-            )
-            for workload in ("hash_count", "nexmark_q3")
         }
     return report
 
@@ -369,20 +334,27 @@ def check_report(
     """Compare a fresh report against a committed baseline report file.
 
     Returns ``(ok, rows)``: one row per workload present in both reports,
-    each carrying the baseline and current ``records_per_s``, the relative
-    delta, and a status — ``"ok"``, or ``"regression"`` when throughput
-    dropped more than the workload's tolerance below the committed number
-    (``tolerance_overrides`` maps workload name to a per-workload
-    tolerance; others use ``tolerance``).  Faster runs never fail.
+    each carrying the baseline and current ``records_per_s`` and
+    ``sim_events``, the relative records/s delta, and a status:
 
-    When the two reports' machine metadata differ (different core count,
-    CPU architecture, interpreter, numpy availability, or batch
-    representation — anything that legitimately moves throughput), a
-    regression is reported as ``"cross-machine-warn"`` and does **not**
-    fail the check: wall-clock numbers only gate within one environment.
+    * ``"events-mismatch"`` when the simulated event count differs from
+      the committed one.  The simulation is deterministic and independent
+      of the machine, so this fails the check on any machine; it is only
+      judged when both reports ran the same state backend.
+    * ``"regression"`` when throughput dropped more than the workload's
+      tolerance below the committed number (``tolerance_overrides`` maps
+      workload name to a per-workload tolerance; others use
+      ``tolerance``).  Faster runs never fail.
+    * ``"cross-machine-warn"`` for such a drop when the two reports'
+      machine metadata differ (different core count, CPU architecture,
+      interpreter, numpy availability, or batch representation — anything
+      that legitimately moves throughput): wall-clock numbers only gate
+      within one environment, so this does **not** fail the check.
+    * ``"ok"`` otherwise.
 
-    The scales must match: throughput at one scale says nothing about
-    another, so a mismatch raises instead of passing silently.
+    The scales must match: neither throughput nor event counts at one scale
+    say anything about another, so a mismatch raises instead of passing
+    silently.
     """
     with open(baseline_path, encoding="utf-8") as handle:
         baseline = json.load(handle)
@@ -396,6 +368,7 @@ def check_report(
     comparable = machines_comparable(
         report.get("machine"), baseline.get("machine")
     )
+    same_backend = report.get("state_backend") == baseline.get("state_backend")
     overrides = tolerance_overrides or {}
     rows: list[dict] = []
     ok = True
@@ -408,7 +381,16 @@ def check_report(
         delta = (current_rps - base_rps) / base_rps if base_rps else 0.0
         allowed = overrides.get(workload, tolerance)
         regressed = delta < -allowed
-        if regressed and comparable:
+        base_events = committed.get("sim_events")
+        events_differ = (
+            same_backend
+            and base_events is not None
+            and numbers["sim_events"] != base_events
+        )
+        if events_differ:
+            ok = False
+            status = "events-mismatch"
+        elif regressed and comparable:
             ok = False
             status = "regression"
         elif regressed:
@@ -422,6 +404,8 @@ def check_report(
                 "records_per_s": current_rps,
                 "delta": round(delta, 4),
                 "tolerance": allowed,
+                "baseline_sim_events": base_events,
+                "sim_events": numbers["sim_events"],
                 "status": status,
             }
         )

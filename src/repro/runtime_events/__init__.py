@@ -5,9 +5,8 @@ on.  It has no dependency on any other ``repro`` package and provides three
 things:
 
 * :mod:`repro.runtime_events.items` — slotted dataclasses for the values
-  the runtime moves around on its hot path (worker work items, buffered
-  operator sends, routed network payloads).  These replace the string-tagged
-  and anonymous tuples the runtime historically used.
+  the runtime moves around on its hot path (queued work items, buffered
+  operator sends; a queued message batch doubles as its network payload).
 * :mod:`repro.runtime_events.events` and :mod:`repro.runtime_events.bus` —
   structured trace events and the :class:`TraceBus` they travel on.  The bus
   is *observability only*: publishers guard every emission with a per-topic
@@ -55,9 +54,7 @@ from repro.runtime_events.events import (
 )
 from repro.runtime_events.items import (
     BufferedSend,
-    ChannelPayload,
     MessageWork,
-    RoutedSend,
     SourceWork,
 )
 
@@ -93,8 +90,6 @@ __all__ = [
     "MigrationStepIssued",
     "SendFlushed",
     "BufferedSend",
-    "ChannelPayload",
     "MessageWork",
-    "RoutedSend",
     "SourceWork",
 ]

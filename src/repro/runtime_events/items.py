@@ -1,11 +1,15 @@
 """Typed, slotted carriers for the runtime's hot-path values.
 
-These replace the ad-hoc tuples the worker and network layers historically
-threaded around: string-tagged work-item tuples, 5-element send-buffer
-tuples, and anonymous ``(channel, time, batch)`` network payloads.  Each
-class is a plain slotted dataclass — construction
-cost is comparable to a tuple, but every field has a name, a type, and a
-single definition the whole runtime shares.
+Each class is a plain slotted dataclass: construction cost is comparable to
+a tuple, but every field has a name, a type, and a single definition the
+whole runtime shares.
+
+An exchanged batch lives in two of them.  ``OpContext.send`` buffers a
+:class:`BufferedSend`; at the activation's flush the worker partitions it
+and builds, per destination, one :class:`MessageWork` — the network
+message's payload, queued as-is by the receiving worker on delivery.
+:class:`SourceWork` is the other queued kind, a batch injected by an input
+handle.
 
 The ``channel`` fields hold :class:`repro.timely.graph.ChannelDesc`
 instances; they are typed as ``object`` here because this package sits
@@ -33,10 +37,12 @@ class SourceWork:
 
 @dataclass(slots=True)
 class MessageWork:
-    """A message batch delivered on a channel, awaiting processing.
+    """A message batch on a channel: in flight, then awaiting processing.
 
-    ``size_bytes`` is the modeled wire size, used for input-cost hooks
-    (e.g. state installation pays deserialization cost per byte).
+    Built once when the sender flushes, carried as the network message's
+    payload, and queued unchanged by the receiver.  ``size_bytes`` is the
+    modeled wire size, used for input-cost hooks (e.g. state installation
+    pays deserialization cost per byte).
     """
 
     channel: object
@@ -62,27 +68,6 @@ class BufferedSend:
     records: list
     size_bytes: Optional[float]
     retained_bytes: float
-
-
-@dataclass(slots=True)
-class RoutedSend:
-    """A partitioned outbound batch, bound to one channel and destination."""
-
-    channel: object
-    dst_worker: int
-    time: object
-    records: list
-    size_bytes: float
-    retained_bytes: float
-
-
-@dataclass(slots=True)
-class ChannelPayload:
-    """The dataflow payload of one network message."""
-
-    channel: object
-    time: object
-    records: list
 
 
 @dataclass(slots=True)
@@ -127,5 +112,11 @@ def batch_record_count(records) -> int:
     grouped, columnar, and per-record paths charge identically.
     """
     if type(records) is list and records and type(records[0]) is DestinationBatch:
-        return sum(batch.count for batch in records)
+        # A plain loop: this runs at least once per exchanged message, and
+        # ``sum`` over a generator costs more than the one or few carriers
+        # a message holds.
+        total = 0
+        for batch in records:
+            total += batch.count
+        return total
     return len(records)

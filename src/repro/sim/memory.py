@@ -112,11 +112,24 @@ class MemoryModel:
         self._note_peak()
 
     def add_send_queue(self, delta: float) -> None:
-        """Adjust bytes sitting in network send queues."""
-        self.send_queue_bytes = self._clamp(
-            "send_queue", self.send_queue_bytes + _as_int_bytes(delta)
+        """Adjust bytes sitting in network send queues.
+
+        Called twice per cross-process message, so the rounding, clamp and
+        peak rule of the other pools are spelled out inline here.
+        """
+        value = self.send_queue_bytes + int(round(delta))
+        if value < 0:
+            value = self._clamp("send_queue", value)
+        self.send_queue_bytes = value
+        rss = (
+            self.base_bytes
+            + self.state_bytes
+            + value
+            + self.recv_buffer_bytes
+            + self.retained_bytes
         )
-        self._note_peak()
+        if rss > self.peak_bytes:
+            self.peak_bytes = rss
 
     def add_recv_buffer(self, delta: float) -> None:
         """Adjust bytes buffered at the receiver pending installation."""

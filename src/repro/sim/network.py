@@ -11,10 +11,18 @@ to the sending process's memory model, and a message's ``retained_bytes``
 (sender-side memory pinned until the bytes leave, e.g. serialized migration
 state) are released at transmit-complete — which is what produces the
 all-at-once migration memory spikes of Figure 20.
+
+A message allocates one callable of its own: the delivery event.  Its
+send-complete event is a link's bound ``_complete_send``, created once per
+link: a link drains in FIFO order (each transmission starts no earlier than
+the previous one finished, and same-time events fire in scheduling order),
+so each send-complete event pops the oldest message off the link's
+in-flight queue.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -62,6 +70,8 @@ class Link:
         "chaos",
         "_busy_until",
         "queued_bytes",
+        "_in_flight",
+        "_on_sent",
     )
 
     def __init__(
@@ -80,6 +90,11 @@ class Link:
         self.chaos = None
         self._busy_until = 0.0
         self.queued_bytes = 0.0
+        # (message, on_sent) per queued transmission, oldest first.
+        self._in_flight: deque = deque()
+        # Bound once: reading ``self._complete_send`` per transmission
+        # would allocate a bound method per message.
+        self._on_sent = self._complete_send
 
     def transmit(
         self,
@@ -102,33 +117,36 @@ class Link:
             )
             bandwidth *= factor
             latency += extra
-        start = max(self._sim.now, self._busy_until)
-        transmit_time = message.size_bytes / bandwidth if bandwidth else 0.0
-        done = start + transmit_time
+        sim = self._sim
+        start = sim.now if sim.now >= self._busy_until else self._busy_until
+        size = message.size_bytes
+        done = start + (size / bandwidth if bandwidth else 0.0)
         self._busy_until = done
-        self.queued_bytes += message.size_bytes
-
-        def _sent() -> None:
-            self.queued_bytes -= message.size_bytes
-            if self.queued_bytes < 0.0:
-                trace = self._sim.trace
-                if trace.wants_faults and self.queued_bytes < -1e-6:
-                    trace.publish(
-                        AccountingClamped(
-                            owner=f"link[{self.src_process}->{self.dst_process}]",
-                            pool="queued_bytes",
-                            value=self.queued_bytes,
-                            at=self._sim.now,
-                        )
-                    )
-                self.queued_bytes = 0.0
-            if on_sent is not None:
-                on_sent(message)
-
-        self._sim.schedule_fast_at(done, _sent)
+        self.queued_bytes += size
+        self._in_flight.append((message, on_sent))
+        sim.schedule_fast_at(done, self._on_sent)
         delivery = done + latency
-        self._sim.schedule_fast_at(delivery, lambda: on_delivered(message))
+        sim.schedule_fast_at(delivery, lambda: on_delivered(message))
         return delivery
+
+    def _complete_send(self) -> None:
+        """The oldest queued message's last byte left the link."""
+        message, on_sent = self._in_flight.popleft()
+        self.queued_bytes -= message.size_bytes
+        if self.queued_bytes < 0.0:
+            trace = self._sim.trace
+            if trace.wants_faults and self.queued_bytes < -1e-6:
+                trace.publish(
+                    AccountingClamped(
+                        owner=f"link[{self.src_process}->{self.dst_process}]",
+                        pool="queued_bytes",
+                        value=self.queued_bytes,
+                        at=self._sim.now,
+                    )
+                )
+            self.queued_bytes = 0.0
+        if on_sent is not None:
+            on_sent(message)
 
     @property
     def busy_until(self) -> float:
@@ -200,6 +218,9 @@ class Cluster:
                         src_process=src,
                         dst_process=dst,
                     )
+        # The send-complete callback every cross-process send hands its
+        # link, bound once.
+        self._on_sent = self._link_sent
 
     def install_chaos(self, injector) -> None:
         """Attach a chaos injector to this cluster and all its links."""
@@ -227,42 +248,43 @@ class Cluster:
         ``retained_bytes`` are released from the sender's retained pool when
         the bytes leave the queue.
         """
-        trace = self.sim.trace
+        sim = self.sim
+        trace = sim.trace
         if trace.wants_network:
             trace.publish(
                 MessageEnqueued(
                     src_worker=message.src_worker,
                     dst_worker=message.dst_worker,
                     size_bytes=message.size_bytes,
-                    at=self.sim.now,
+                    at=sim.now,
                 )
             )
-        src_proc = self.process_of(message.src_worker)
-        dst_proc = self.process_of(message.dst_worker)
+        src_proc = self._worker_process[message.src_worker]
+        dst_proc = self._worker_process[message.dst_worker]
         if self.chaos is not None:
             reason = self.chaos.drop_reason(src_proc.index, dst_proc.index)
             if reason is not None:
                 return self._drop(message, reason)
-        if src_proc.index == dst_proc.index:
+        if src_proc is dst_proc:
             # In-process: no send queue — the bytes "leave" immediately.
             self._mark_transmitted(src_proc, message)
             if message.src_worker == message.dst_worker:
-                delivery = self.sim.now
-                self.sim.schedule_fast_at(delivery, lambda: on_delivered(message))
+                delivery = sim.now
             else:
-                delivery = self.sim.now + self.intra_process_latency
-                self.sim.schedule_fast_at(delivery, lambda: on_delivered(message))
+                delivery = sim.now + self.intra_process_latency
+            sim.schedule_fast_at(delivery, lambda: on_delivered(message))
             return delivery
 
         src_proc.memory.add_send_queue(message.size_bytes)
-
-        def _sent(msg: NetworkMessage) -> None:
-            src_proc.memory.add_send_queue(-msg.size_bytes)
-            self._mark_transmitted(src_proc, msg)
-
-        return self.link(src_proc.index, dst_proc.index).transmit(
-            message, on_delivered, _sent
+        return self._links[(src_proc.index, dst_proc.index)].transmit(
+            message, on_delivered, self._on_sent
         )
+
+    def _link_sent(self, message: NetworkMessage) -> None:
+        """A cross-process message left its link: free its send-queue bytes."""
+        src_proc = self._worker_process[message.src_worker]
+        src_proc.memory.add_send_queue(-message.size_bytes)
+        self._mark_transmitted(src_proc, message)
 
     def _drop(self, message: NetworkMessage, reason: str) -> float:
         """Lose ``message`` to an injected fault.

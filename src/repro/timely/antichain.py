@@ -44,6 +44,14 @@ class Antichain:
 
     def less_equal(self, time: Timestamp) -> bool:
         """Is ``time`` in advance of this frontier (some element <= time)?"""
+        if type(time) is int:
+            for element in self._elements:
+                if type(element) is int:
+                    if element <= time:
+                        return True
+                elif less_equal(element, time):
+                    return True
+            return False
         return any(less_equal(e, time) for e in self._elements)
 
     def less_than(self, time: Timestamp) -> bool:

@@ -45,9 +45,7 @@ from repro.runtime_events.events import (
 )
 from repro.runtime_events.items import (
     BufferedSend,
-    ChannelPayload,
     MessageWork,
-    RoutedSend,
     SourceWork,
     batch_record_count,
 )
@@ -344,6 +342,8 @@ class WorkerRuntime:
         "_activation_scheduled",
         "alive",
         "chaos",
+        "_on_delivered",
+        "_on_dropped",
     )
 
     def __init__(self, runtime: "Runtime", worker_id: int):
@@ -368,6 +368,11 @@ class WorkerRuntime:
         # hooks cost nothing — the no-chaos path is bit-identical.
         self.alive = True
         self.chaos = None
+        # The network callbacks of this worker's messages, bound once: the
+        # delivery into this worker's queue, and the progress compensation
+        # for a message of this worker's that a link fault loses.
+        self._on_delivered = self.enqueue_message
+        self._on_dropped = self._compensate_drop
 
     @property
     def busy_until(self) -> float:
@@ -389,21 +394,19 @@ class WorkerRuntime:
 
     # -- work intake -----------------------------------------------------------
 
-    def enqueue_message(
-        self, channel: ChannelDesc, time: Timestamp, records: list, size_bytes: float
-    ) -> None:
-        """A batch arrived on ``channel`` for this worker.
+    def enqueue_message(self, message: NetworkMessage) -> None:
+        """The network delivered ``message`` to this worker.
 
-        A dead (crashed) worker loses the batch: the channel's in-flight
-        count is consumed immediately so the frontier does not wait forever
-        on a delivery nobody will process.
+        Its payload, the :class:`MessageWork` built when the sender flushed,
+        is queued as-is.  A dead (crashed) worker loses the batch: the
+        channel's in-flight count is consumed immediately so the frontier
+        does not wait forever on a delivery nobody will process.
         """
+        work = message.payload
         if not self.alive:
-            self._drop_arrival(channel.index, time, size_bytes, is_message=True)
+            self._drop_arrival(work)
             return
-        self._work.append(
-            MessageWork(channel=channel, time=time, records=records, size_bytes=size_bytes)
-        )
+        self._work.append(work)
         self.activate()
 
     def enqueue_source(self, op_index: int, time: Timestamp, records: list) -> None:
@@ -416,19 +419,15 @@ class WorkerRuntime:
         self._work.append(SourceWork(op_index=op_index, time=time, records=records))
         self.activate()
 
-    def _drop_arrival(
-        self, channel_index: int, time: Timestamp, size_bytes: float, is_message: bool
-    ) -> None:
-        tracker = self._runtime.tracker
-        if is_message:
-            tracker.message_consumed(channel_index, time)
+    def _drop_arrival(self, work: MessageWork) -> None:
+        self._runtime.tracker.message_consumed(work.channel.index, work.time)
         trace = self._runtime.sim.trace
         if trace.wants_faults:
             trace.publish(
                 MessageDropped(
                     src_worker=-1,
                     dst_worker=self.worker_id,
-                    size_bytes=size_bytes,
+                    size_bytes=work.size_bytes,
                     reason="dead-worker",
                     at=self._runtime.sim.now,
                 )
@@ -502,13 +501,13 @@ class WorkerRuntime:
         # One completion event covers both the network hand-off and the
         # deferred progress decrements (they fire back to back at
         # ``busy_until`` anyway); this halves the hot path's event volume.
-        dispatch = self._flush_sends(sends) if sends else None
-        if dispatch is not None or deferred:
+        outgoing = self._flush_sends(sends) if sends else None
+        if outgoing is not None or deferred:
             tracker = self._runtime.tracker
 
             def _complete() -> None:
-                if dispatch is not None:
-                    dispatch()
+                if outgoing is not None:
+                    self._dispatch(outgoing)
                 if deferred:
                     for is_message, index, t in deferred:
                         if is_message:
@@ -644,21 +643,25 @@ class WorkerRuntime:
                 sends.append((ctx, send_item))
         return cost
 
-    def _flush_sends(self, sends: list) -> Optional[Callable[[], None]]:
-        """Partition buffered sends; return the network hand-off closure.
+    def _flush_sends(self, sends: list) -> Optional[list[NetworkMessage]]:
+        """Partition buffered sends into the activation's network messages.
 
-        In-flight counts are charged immediately (conservative frontier);
-        the caller schedules the returned closure at the activation's
-        completion time, when the bytes start to travel.  Record counts —
-        CPU fractions, wire bytes, trace events — always reflect the
-        *underlying* records, so grouped carriers cost exactly what their
-        per-record equivalent would.
+        Each message is built here, once, with its :class:`MessageWork` as
+        the payload the receiver will queue.  In-flight counts are charged
+        immediately (conservative frontier); the caller hands the messages
+        to the network at the activation's completion time, when the bytes
+        start to travel.  Record counts — CPU fractions, wire bytes, trace
+        events — always reflect the *underlying* records, so grouped
+        carriers cost exactly what their per-record equivalent would.
         """
         runtime = self._runtime
+        tracker = runtime.tracker
         cost_model = runtime.cluster.cost
         trace = runtime.sim.trace
         wants_send = trace.wants_send
-        outgoing: list[RoutedSend] = []
+        src_worker = self.worker_id
+        on_dropped = self._on_dropped
+        outgoing: list[NetworkMessage] = []
         for ctx, buffered in sends:
             records = buffered.records
             time = buffered.time
@@ -666,7 +669,7 @@ class WorkerRuntime:
             if wants_send:
                 trace.publish(
                     SendFlushed(
-                        worker=self.worker_id,
+                        worker=src_worker,
                         op=ctx.op_index,
                         port=buffered.port,
                         time=time,
@@ -691,82 +694,62 @@ class WorkerRuntime:
                         fraction = batch_count / (total_count or 1)
                         bytes_ = buffered.size_bytes * fraction
                         retained = buffered.retained_bytes * fraction
-                    runtime.tracker.message_sent(channel.index, time)
+                    tracker.message_sent(channel.index, time)
+                    # A link fault may lose the message in the network; the
+                    # in-flight count it carries is then consumed by
+                    # ``on_dropped``, or the channel frontier would wait
+                    # forever for it.
                     outgoing.append(
-                        RoutedSend(
-                            channel=channel,
-                            dst_worker=dst_worker,
-                            time=time,
-                            records=batch,
-                            size_bytes=bytes_,
-                            retained_bytes=retained,
+                        NetworkMessage(
+                            src_worker,
+                            dst_worker,
+                            bytes_,
+                            MessageWork(channel, time, batch, bytes_),
+                            retained,
+                            on_dropped,
                         )
                     )
             # In-flight counts now cover the batch: drop the send guard.
-            runtime.tracker.capability_update(ctx.op_index, time, -1)
-        if not outgoing:
-            return None
+            tracker.capability_update(ctx.op_index, time, -1)
+        return outgoing or None
 
-        def _dispatch() -> None:
-            if not self.alive:
-                # The sender crashed between the send decision and the
-                # network hand-off: the batches are lost.  Consume their
-                # in-flight counts and unpin the sender's retained bytes
-                # so the crash cannot wedge frontiers or RSS accounting.
-                memory = runtime.cluster.process_of(self.worker_id).memory
-                for routed in outgoing:
-                    runtime.tracker.message_consumed(routed.channel.index, routed.time)
-                    if routed.retained_bytes:
-                        memory.add_retained(-routed.retained_bytes)
-                    if trace.wants_faults:
-                        trace.publish(
-                            MessageDropped(
-                                src_worker=self.worker_id,
-                                dst_worker=routed.dst_worker,
-                                size_bytes=routed.size_bytes,
-                                reason="crashed-sender",
-                                at=runtime.sim.now,
-                            )
+    def _dispatch(self, outgoing: list[NetworkMessage]) -> None:
+        """Hand an activation's messages to the network (at ``busy_until``)."""
+        runtime = self._runtime
+        if not self.alive:
+            # The sender crashed between the send decision and the network
+            # hand-off: the batches are lost.  Consume their in-flight counts
+            # and unpin the sender's retained bytes so the crash cannot
+            # wedge frontiers or RSS accounting.
+            memory = runtime.cluster.process_of(self.worker_id).memory
+            trace = runtime.sim.trace
+            for message in outgoing:
+                work = message.payload
+                runtime.tracker.message_consumed(work.channel.index, work.time)
+                if message.retained_bytes:
+                    memory.add_retained(-message.retained_bytes)
+                if trace.wants_faults:
+                    trace.publish(
+                        MessageDropped(
+                            src_worker=self.worker_id,
+                            dst_worker=message.dst_worker,
+                            size_bytes=message.size_bytes,
+                            reason="crashed-sender",
+                            at=runtime.sim.now,
                         )
-                runtime.mark_progress()
-                return
-            # Injected faults can only drop messages while a chaos injector
-            # is attached; without one the per-message compensation closure
-            # can never fire, so skip allocating it.
-            chaos_attached = runtime.cluster.chaos is not None
-            for routed in outgoing:
-                message = NetworkMessage(
-                    src_worker=self.worker_id,
-                    dst_worker=routed.dst_worker,
-                    size_bytes=routed.size_bytes,
-                    payload=ChannelPayload(
-                        channel=routed.channel,
-                        time=routed.time,
-                        records=routed.records,
-                    ),
-                    retained_bytes=routed.retained_bytes,
-                    # A link fault may lose the message in the network; the
-                    # in-flight count it carries must then be consumed here,
-                    # or the channel frontier would wait forever for it.
-                    on_dropped=(
-                        (lambda _msg, r=routed: _compensate_drop(r))
-                        if chaos_attached
-                        else None
-                    ),
-                )
-                runtime.cluster.send(message, _deliver)
-
-        def _compensate_drop(routed: RoutedSend) -> None:
-            runtime.tracker.message_consumed(routed.channel.index, routed.time)
+                    )
             runtime.mark_progress()
+            return
+        send = runtime.cluster.send
+        workers = runtime.workers
+        for message in outgoing:
+            send(message, workers[message.dst_worker]._on_delivered)
 
-        def _deliver(message: NetworkMessage) -> None:
-            payload = message.payload
-            runtime.workers[message.dst_worker].enqueue_message(
-                payload.channel, payload.time, payload.records, message.size_bytes
-            )
-
-        return _dispatch
+    def _compensate_drop(self, message: NetworkMessage) -> None:
+        """A link fault lost ``message``: consume its in-flight count."""
+        work = message.payload
+        self._runtime.tracker.message_consumed(work.channel.index, work.time)
+        self._runtime.mark_progress()
 
     # -- crash and restart (driven by the chaos injector) ----------------------
 

@@ -151,8 +151,27 @@ def test_bench_command_writes_report(tmp_path, capsys):
         assert numbers["records_per_s"] > 0
         assert numbers["wall_seconds"] > 0
         assert numbers["sim_events"] > 0
-    # Baseline comparison only applies at the full scale.
-    assert "speedup" not in report
+    # No ratio against a number measured on some other machine.
+    assert "speedup" not in report and "baseline" not in report
+
+
+def test_bench_check_fails_on_event_count_mismatch(tmp_path, capsys):
+    import json
+
+    out_path = tmp_path / "bench.json"
+    assert main(["bench", "--scale", "tiny", "--no-layers",
+                 "--output", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    report["machine"]["cpu_count"] = -1  # another machine: rec/s only warns
+    report["workloads"]["hash_count"]["sim_events"] += 1
+    out_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    code = main(["bench", "--scale", "tiny", "--no-layers",
+                 "--check", str(out_path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "events-mismatch" in out
+    assert "simulated event count differs" in out
 
 
 def test_bench_layer_breakdown_included_by_default(tmp_path):
